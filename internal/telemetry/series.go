@@ -102,7 +102,8 @@ type Sampler struct {
 	samples  int
 	lastT    int64
 	haveLast bool
-	stop     chan struct{}
+	stop     chan struct{} // closed by Stop to end the wall goroutine
+	done     chan struct{} // closed by the wall goroutine on exit
 
 	// Per-sim fan-out (multi-sim recording). One sampler owns one
 	// strictly monotonic timeline, so when several simulators run in
@@ -423,11 +424,12 @@ func (s *Sampler) StartWall(interval time.Duration) {
 	}
 	s.wall = true
 	s.simEvery.Store(0)
-	stop := make(chan struct{})
-	s.stop = stop
+	stop, done := make(chan struct{}), make(chan struct{})
+	s.stop, s.done = stop, done
 	s.mu.Unlock()
 	s.enabled.Store(true)
 	go func() {
+		defer close(done)
 		t := time.NewTicker(interval)
 		defer t.Stop()
 		for {
@@ -442,16 +444,20 @@ func (s *Sampler) StartWall(interval time.Duration) {
 }
 
 // Stop halts a wall-clock sampling goroutine (no-op otherwise) and
-// disables the recorder, fan-out children included. Recorded series
-// stay readable.
+// disables the recorder, fan-out children included. It joins the
+// goroutine, so no wall sample lands after Stop returns. Recorded
+// series stay readable.
 func (s *Sampler) Stop() {
 	s.enabled.Store(false)
 	s.mu.Lock()
-	if s.stop != nil {
-		close(s.stop)
-		s.stop = nil
-	}
+	stop, done := s.stop, s.done
+	s.stop, s.done = nil, nil
 	s.mu.Unlock()
+	if stop != nil {
+		// The goroutine's Sample takes s.mu, so wait outside it.
+		close(stop)
+		<-done
+	}
 	for _, c := range s.childrenSnapshot() {
 		c.Stop()
 	}

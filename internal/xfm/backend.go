@@ -31,8 +31,7 @@ type Backend struct {
 	workers int // batch parallelism bound (0 = GOMAXPROCS)
 	// pool runs the batch fan-outs (ECC parity math); persistent so
 	// steady-state batches spin up no goroutines. workers caps each
-	// Run rather than the pool width, so SetWorkers-style rebinding
-	// stays cheap.
+	// Run, not the pool width.
 	pool *parallel.Pool
 
 	// Lazy SPM occupancy tracking (§6): the backend assumes every
@@ -147,13 +146,12 @@ func (b *Backend) Driver() *Driver { return b.driver }
 // page-aligned address. All banks refresh the same row index during a
 // window and the page's two interleaved banks share one row (Fig. 6a),
 // so a page maps to a single group.
-func (b *Backend) pageGroup(addr int64) int {
-	addr %= b.mapp.TotalBytes()
+func pageGroup(m memctrl.Mapping, addr int64) int {
+	addr %= m.TotalBytes()
 	if addr < 0 {
-		addr += b.mapp.TotalBytes()
+		addr += m.TotalBytes()
 	}
-	co := b.mapp.Decompose(addr)
-	return b.mapp.Device.RowRefreshGroup(co.Row)
+	return m.Device.RowRefreshGroup(m.Decompose(addr).Row)
 }
 
 // localAddr places a page id in the local address space; the SFM
@@ -182,26 +180,11 @@ func (b *Backend) SwapOut(now dram.Ps, id sfm.PageID, data []byte) error {
 	if err := b.inner.SwapOut(now, id, data); err != nil {
 		return err
 	}
+	var par []byte
 	if b.eccEnabled {
-		// Regenerate the side-band parity for the page image the NMA
-		// writes back (§4.1: "the NMA calculates the parity bits and
-		// stores them in the ECC DRAM chips, when writing back").
-		b.parity[id] = ecc.PageParity(data)
-		b.parityBytes.Add(int64(len(b.parity[id])))
+		par = ecc.PageParity(data)
 	}
-	if b.deg != nil {
-		b.stageCopy(id, data)
-	}
-	b.driver.AdvanceTo(now)
-	b.nextReq++
-	req := nma.Request{
-		ID:       b.nextReq,
-		Kind:     nma.CompressOp,
-		SrcGroup: b.pageGroup(b.localAddr(id)),
-		DstGroup: b.pageGroup(b.regionAddr(id)),
-		Arrive:   now,
-	}
-	b.submitOrFallback(req, nma.CompressOp)
+	b.finishOut(now, id, data, par)
 	return nil
 }
 
@@ -216,77 +199,48 @@ func (b *Backend) SwapIn(now dram.Ps, id sfm.PageID, dst []byte, offload bool) e
 	if err := b.inner.SwapIn(now, id, dst, offload); err != nil {
 		return err
 	}
-	if b.eccEnabled {
-		if p, ok := b.parity[id]; ok {
-			if b.inj != nil {
-				b.injectECC(id, dst)
-			}
-			corrected, bad := ecc.VerifyPage(dst, p)
-			b.recordECC(corrected, bad)
-			delete(b.parity, id)
-			if bad > 0 {
-				if err := b.quarantinePage(id, bad, dst); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	delete(b.staging, id)
-	b.driver.AdvanceTo(now)
-	if !offload {
-		b.recordFallback(nma.DecompressOp)
-		return nil
-	}
-	b.nextReq++
-	req := nma.Request{
-		ID:       b.nextReq,
-		Kind:     nma.DecompressOp,
-		SrcGroup: b.pageGroup(b.regionAddr(id)),
-		DstGroup: b.pageGroup(b.localAddr(id)),
-		Arrive:   now,
-	}
-	b.submitOrFallback(req, nma.DecompressOp)
-	return nil
+	b.injectIfChecked(id, dst)
+	return b.finishIn(now, id, dst, offload, b.verify(id, dst))
 }
 
-// submitOrFallback runs the §6 submission protocol: lazy occupancy
-// check, MMIO sync when the inferred SPM bound is exhausted, then an
-// MMIO write into the request queue; on rejection the CPU performs
-// the operation.
-// recordFallback charges one CPU-executed swap operation.
-func (b *Backend) recordFallback(kind nma.OpKind) {
-	b.fallbacks.Inc()
-	gmFallbacks.Inc()
-	var perByte float64
-	if kind == nma.CompressOp {
-		perByte = b.codec.Info().CompressCyclesPerByte
-	} else {
-		perByte = b.codec.Info().DecompressCyclesPerByte
-	}
-	b.cpuCycles.Add(perByte * sfm.PageSize)
-}
-
-// stageCopy keeps an uncompressed staging copy of a swapped-out page:
-// the CPU-side backstop that lets a later uncorrectable ECC hit be
-// re-served intact instead of surfacing data loss. Buffers recycle per
-// page ID across swap cycles.
+// finishOut is the serial tail of a swap-out of a page the inner store
+// has accepted: keep its side-band parity (§4.1: "the NMA calculates
+// the parity bits and stores them in the ECC DRAM chips, when writing
+// back"; nil when ECC is off), stage a raw copy when degradation is
+// armed, then submit the compression.
 //
-//xfm:allocok staging copies exist only with degradation armed (chaos runs), never in steady-state benchmarks
-func (b *Backend) stageCopy(id sfm.PageID, data []byte) {
-	buf := b.staging[id]
-	if cap(buf) < len(data) {
-		buf = make([]byte, len(data))
+//xfm:hotpath
+func (b *Backend) finishOut(now dram.Ps, id sfm.PageID, data, par []byte) {
+	if par != nil {
+		b.parity[id] = par
+		b.parityBytes.Add(int64(len(par)))
 	}
-	buf = buf[:len(data)]
-	copy(buf, data)
-	b.staging[id] = buf
+	if b.deg != nil {
+		b.stageCopy(id, data)
+	}
+	b.driver.AdvanceTo(now)
+	b.submit(now, id, nma.CompressOp)
 }
 
-// injectECC applies the chaos plan's scheduled bit flips to the page
-// image read back from far memory, before parity verification. The
-// draw is keyed by page ID, so which pages get hit is independent of
-// swap order; multi takes precedence over single when both fire.
-func (b *Backend) injectECC(id sfm.PageID, dst []byte) {
+// eccCheck is one page's side-band parity verification result;
+// checked is false when ECC is off or the page has no stored parity.
+type eccCheck struct {
+	corrected, bad int
+	checked        bool
+}
+
+// injectIfChecked applies the chaos plan's scheduled bit flips to a
+// swapped-in image that verify will check. The draws are keyed by page
+// ID but budget accounting is call-ordered, so callers run it serially
+// in input order, never on the pool. Multi-bit takes precedence over
+// single-bit when both fire.
+func (b *Backend) injectIfChecked(id sfm.PageID, dst []byte) {
+	if b.inj == nil || !b.eccEnabled {
+		return
+	}
+	if _, ok := b.parity[id]; !ok {
+		return
+	}
 	words := len(dst) / 8
 	if words == 0 {
 		return
@@ -303,6 +257,93 @@ func (b *Backend) injectECC(id sfm.PageID, dst []byte) {
 		w := int((uint64(id) * 0xbf58476d1ce4e5b9 >> 17) % uint64(words))
 		dst[w*8] ^= 0x01
 	}
+}
+
+// verify checks a swapped-in image against its stored parity. It only
+// reads backend state, so batches fan it out on the pool.
+func (b *Backend) verify(id sfm.PageID, dst []byte) eccCheck {
+	if !b.eccEnabled {
+		return eccCheck{}
+	}
+	p, ok := b.parity[id]
+	if !ok {
+		return eccCheck{}
+	}
+	corrected, bad := ecc.VerifyPage(dst, p)
+	return eccCheck{corrected: corrected, bad: bad, checked: true}
+}
+
+// finishIn is the serial tail of a swap-in the inner store has served:
+// account the ECC result, quarantine (and re-serve from staging) a
+// page with uncorrectable words, drop the staging copy, then either
+// charge the demand-fault CPU_Fallback or submit the decompression.
+//
+//xfm:hotpath
+func (b *Backend) finishIn(now dram.Ps, id sfm.PageID, dst []byte, offload bool, c eccCheck) error {
+	if c.checked {
+		b.recordECC(c.corrected, c.bad)
+		delete(b.parity, id)
+		if c.bad > 0 {
+			if err := b.quarantinePage(id, c.bad, dst); err != nil {
+				return err
+			}
+		}
+	}
+	delete(b.staging, id)
+	b.driver.AdvanceTo(now)
+	if !offload {
+		b.recordFallback(nma.DecompressOp)
+		return nil
+	}
+	b.submit(now, id, nma.DecompressOp)
+	return nil
+}
+
+// submit builds the page's NMA request and runs it through the §6
+// submission protocol. Compression reads the page's local rows and
+// writes its SFM region slot; decompression is the same request with
+// the source and destination groups swapped.
+//
+//xfm:hotpath
+func (b *Backend) submit(now dram.Ps, id sfm.PageID, kind nma.OpKind) {
+	src, dst := pageGroup(b.mapp, b.localAddr(id)), pageGroup(b.mapp, b.regionAddr(id))
+	if kind == nma.DecompressOp {
+		src, dst = dst, src
+	}
+	b.nextReq++
+	b.submitOrFallback(nma.Request{ID: b.nextReq, Kind: kind, SrcGroup: src, DstGroup: dst, Arrive: now})
+}
+
+// recordFallback charges one CPU-executed swap operation.
+func (b *Backend) recordFallback(kind nma.OpKind) {
+	b.fallbacks.Inc()
+	gmFallbacks.Inc()
+	b.cpuCycles.Add(fallbackCycles(b.codec, kind))
+}
+
+// fallbackCycles is the host cost of one page (de)compressed by
+// CPU_Fallback with codec c.
+func fallbackCycles(c compress.Codec, kind nma.OpKind) float64 {
+	if kind == nma.CompressOp {
+		return c.Info().CompressCyclesPerByte * sfm.PageSize
+	}
+	return c.Info().DecompressCyclesPerByte * sfm.PageSize
+}
+
+// stageCopy keeps an uncompressed staging copy of a swapped-out page:
+// the CPU-side backstop that lets a later uncorrectable ECC hit be
+// re-served intact instead of surfacing data loss. Buffers recycle per
+// page ID across swap cycles.
+//
+//xfm:allocok staging copies exist only with degradation armed (chaos runs), never in steady-state benchmarks
+func (b *Backend) stageCopy(id sfm.PageID, data []byte) {
+	buf := b.staging[id]
+	if cap(buf) < len(data) {
+		buf = make([]byte, len(data))
+	}
+	buf = buf[:len(data)]
+	copy(buf, data)
+	b.staging[id] = buf
 }
 
 // quarantinePage handles an uncorrectable ECC verification: the page
@@ -340,13 +381,18 @@ func (b *Backend) recordECC(corrected, bad int) {
 	gmECCUncorrectable.Add(int64(bad))
 }
 
+// submitOrFallback runs the §6 submission protocol through the
+// degradation ladder: with no breaker armed, one submitOnce and a CPU
+// fallback on rejection; with one armed, the current Mode decides
+// whether to skip the NMA, probe it with a canary or submit normally.
+//
 //xfm:hotpath
-func (b *Backend) submitOrFallback(req nma.Request, kind nma.OpKind) {
+func (b *Backend) submitOrFallback(req nma.Request) {
 	d := b.deg
 	if d == nil {
 		// Default path: §6's stateless per-op fallback, no breaker.
 		if ok, err := b.submitOnce(req); err != nil || !ok {
-			b.recordFallback(kind)
+			b.recordFallback(req.Kind)
 			return
 		}
 		b.offloads.Inc()
@@ -361,7 +407,7 @@ func (b *Backend) submitOrFallback(req nma.Request, kind nma.OpKind) {
 		if d.cpuOps >= d.policy.ReprobeAfter {
 			b.transition(ModeRecovering, req.Arrive)
 		}
-		b.recordFallback(kind)
+		b.recordFallback(req.Kind)
 		return
 	case ModeRecovering:
 		// Canary probe: a real op, but one failure re-opens the
@@ -370,7 +416,7 @@ func (b *Backend) submitOrFallback(req nma.Request, kind nma.OpKind) {
 		if ok, err := b.submitOnce(req); err != nil || !ok {
 			gmCanaryFailures.Inc()
 			b.transition(ModeCPUOnly, req.Arrive)
-			b.recordFallback(kind)
+			b.recordFallback(req.Kind)
 			return
 		}
 		d.canaryOK++
@@ -407,14 +453,14 @@ func (b *Backend) submitOrFallback(req nma.Request, kind nma.OpKind) {
 		} else if d.failures >= d.policy.DegradeFailures {
 			b.transition(ModeDegraded, req.Arrive)
 		}
-		b.recordFallback(kind)
+		b.recordFallback(req.Kind)
 		return
 	}
 	if Mode(d.mode.Load()) == ModeDegraded && d.failures < d.policy.DegradeFailures {
 		b.transition(ModeHealthy, req.Arrive)
 	}
 	if !ok {
-		b.recordFallback(kind)
+		b.recordFallback(req.Kind)
 		return
 	}
 	b.offloads.Inc()

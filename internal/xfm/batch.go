@@ -1,21 +1,21 @@
 package xfm
 
 import (
-	"fmt"
-
 	"xfm/internal/dram"
 	"xfm/internal/ecc"
-	"xfm/internal/nma"
 	"xfm/internal/sfm"
 )
 
-// Batched swap paths. The XFM backends split each batch into a
-// parallel phase (pure per-page work: (de)compression via the inner
-// store, ECC parity math) and a serial phase (driver submissions,
-// parity-map and slot bookkeeping) executed in input order. Because
-// the serial phase runs in the same order a page-at-a-time loop would
-// use, and driver.AdvanceTo is idempotent at a fixed timestamp, batch
-// results, stats, and NMA accounting are identical to serial calls.
+// Batched swap paths. Each batch splits into a parallel phase (pure
+// per-page work: (de)compression via the inner store, ECC parity math
+// and verification) and a serial phase (driver submissions, parity-map
+// and slot bookkeeping) run in input order. Backend's batch and
+// single-page entry points share the per-page steps — finishOut and
+// finishIn (backend.go) for the serial phase, verify for the parallel
+// one — and differ only in the fan-out. Because the serial phase runs
+// in the order a page-at-a-time loop would use, and driver.AdvanceTo
+// is idempotent at a fixed timestamp, batch results, stats, and NMA
+// accounting are identical to serial calls.
 
 // SwapOutBatch implements sfm.Backend: the inner store compresses the
 // batch (in parallel when the inner store is sharded), ECC parity is
@@ -25,8 +25,6 @@ func (b *Backend) SwapOutBatch(now dram.Ps, pages []sfm.PageOut) []error {
 	errs := b.inner.SwapOutBatch(now, pages)
 	var pars [][]byte
 	if b.eccEnabled {
-		// §4.1: the NMA regenerates side-band parity when writing back.
-		// Parity generation is pure per-page math — fan it out.
 		pars = make([][]byte, len(pages))
 		b.pool.Run(len(pages), b.workers, func(_, i int) {
 			if errs[i] == nil {
@@ -39,22 +37,11 @@ func (b *Backend) SwapOutBatch(now dram.Ps, pages []sfm.PageOut) []error {
 		if errs[i] != nil {
 			continue
 		}
-		if b.eccEnabled {
-			b.parity[p.ID] = pars[i]
-			b.parityBytes.Add(int64(len(pars[i])))
+		var par []byte
+		if pars != nil {
+			par = pars[i]
 		}
-		if b.deg != nil {
-			b.stageCopy(p.ID, p.Data)
-		}
-		b.nextReq++
-		req := nma.Request{
-			ID:       b.nextReq,
-			Kind:     nma.CompressOp,
-			SrcGroup: b.pageGroup(b.localAddr(p.ID)),
-			DstGroup: b.pageGroup(b.regionAddr(p.ID)),
-			Arrive:   now,
-		}
-		b.submitOrFallback(req, nma.CompressOp)
+		b.finishOut(now, p.ID, p.Data, par)
 	}
 	return errs
 }
@@ -65,35 +52,17 @@ func (b *Backend) SwapOutBatch(now dram.Ps, pages []sfm.PageOut) []error {
 func (b *Backend) SwapInBatch(now dram.Ps, pages []sfm.PageIn, offload bool) []error {
 	hBatchPages.Observe(float64(len(pages)))
 	errs := b.inner.SwapInBatch(now, pages, offload)
-	type verify struct {
-		corrected, bad int
-		checked        bool
-	}
-	var vs []verify
+	var checks []eccCheck
 	if b.eccEnabled {
-		if b.inj != nil {
-			// Draw and apply the scheduled bit flips serially, in input
-			// order, before the verification fan-out: the draws are
-			// keyed by page ID but budget accounting is call-ordered,
-			// and determinism of budgeted plans must not depend on
-			// worker scheduling.
-			for i := range pages {
-				if errs[i] != nil {
-					continue
-				}
-				if _, ok := b.parity[pages[i].ID]; ok {
-					b.injectECC(pages[i].ID, pages[i].Dst)
-				}
+		for i, p := range pages {
+			if errs[i] == nil {
+				b.injectIfChecked(p.ID, p.Dst)
 			}
 		}
-		vs = make([]verify, len(pages))
+		checks = make([]eccCheck, len(pages))
 		b.pool.Run(len(pages), b.workers, func(_, i int) {
-			if errs[i] != nil {
-				return
-			}
-			if p, ok := b.parity[pages[i].ID]; ok {
-				c, bad := ecc.VerifyPage(pages[i].Dst, p)
-				vs[i] = verify{corrected: c, bad: bad, checked: true}
+			if errs[i] == nil {
+				checks[i] = b.verify(pages[i].ID, pages[i].Dst)
 			}
 		})
 	}
@@ -102,30 +71,11 @@ func (b *Backend) SwapInBatch(now dram.Ps, pages []sfm.PageIn, offload bool) []e
 		if errs[i] != nil {
 			continue
 		}
-		if b.eccEnabled && vs[i].checked {
-			b.recordECC(vs[i].corrected, vs[i].bad)
-			delete(b.parity, p.ID)
-			if vs[i].bad > 0 {
-				if err := b.quarantinePage(p.ID, vs[i].bad, p.Dst); err != nil {
-					errs[i] = err
-					continue
-				}
-			}
+		var c eccCheck
+		if checks != nil {
+			c = checks[i]
 		}
-		delete(b.staging, p.ID)
-		if !offload {
-			b.recordFallback(nma.DecompressOp)
-			continue
-		}
-		b.nextReq++
-		req := nma.Request{
-			ID:       b.nextReq,
-			Kind:     nma.DecompressOp,
-			SrcGroup: b.pageGroup(b.regionAddr(p.ID)),
-			DstGroup: b.pageGroup(b.localAddr(p.ID)),
-			Arrive:   now,
-		}
-		b.submitOrFallback(req, nma.DecompressOp)
+		errs[i] = b.finishIn(now, p.ID, p.Dst, offload, c)
 	}
 	return errs
 }
@@ -137,19 +87,13 @@ func (b *Backend) SwapInBatch(now dram.Ps, pages []sfm.PageIn, offload bool) []e
 func (g *GroupBackend) SwapOutBatch(now dram.Ps, pages []sfm.PageOut) []error {
 	errs := make([]error, len(pages))
 	cls := make([]CompressedLayout, len(pages))
-	g.pool.Run(len(pages), g.workers, func(_, i int) {
-		data := pages[i].Data
-		if len(data) != sfm.PageSize {
-			errs[i] = fmt.Errorf("xfm: page %d has %d bytes, want %d", pages[i].ID, len(data), sfm.PageSize)
-			return
-		}
-		cls[i] = g.layout.CompressPage(data, g.newCodec)
+	g.pool.Run(len(pages), 0, func(_, i int) {
+		cls[i], errs[i] = g.compressPage(pages[i].ID, pages[i].Data)
 	})
 	for i, p := range pages {
-		if errs[i] != nil {
-			continue
+		if errs[i] == nil {
+			errs[i] = g.placeCompressed(now, p.ID, cls[i])
 		}
-		errs[i] = g.placeCompressed(now, p.ID, cls[i])
 	}
 	return errs
 }
@@ -162,27 +106,11 @@ func (g *GroupBackend) SwapOutBatch(now dram.Ps, pages []sfm.PageOut) []error {
 func (g *GroupBackend) SwapInBatch(now dram.Ps, pages []sfm.PageIn, offload bool) []error {
 	errs := make([]error, len(pages))
 	cls := make([]CompressedLayout, len(pages))
-	done := make([]bool, len(pages))
-	g.pool.Run(len(pages), g.workers, func(_, i int) {
-		p := pages[i]
-		if len(p.Dst) != sfm.PageSize {
-			errs[i] = fmt.Errorf("xfm: dst has %d bytes, want %d", len(p.Dst), sfm.PageSize)
-			return
-		}
-		cl, ok := g.slots[p.ID]
-		if !ok {
-			errs[i] = sfm.ErrNotFound
-			return
-		}
-		if _, err := g.layout.DecompressPageInto(p.Dst[:0], cl, g.newCodec, sfm.PageSize); err != nil {
-			errs[i] = err
-			return
-		}
-		cls[i] = cl
-		done[i] = true
+	g.pool.Run(len(pages), 0, func(_, i int) {
+		cls[i], errs[i] = g.decompressPage(pages[i].ID, pages[i].Dst)
 	})
 	for i, p := range pages {
-		if !done[i] {
+		if errs[i] != nil {
 			continue
 		}
 		if _, ok := g.slots[p.ID]; !ok {

@@ -34,21 +34,67 @@ func batchIDs(n int) []sfm.PageID {
 	return ids
 }
 
-// TestBackendBatchMatchesSerial drives two identically configured XFM
-// backends — one page at a time, one batched — and requires identical
-// stats, ECC accounting, and restored bytes.
-func TestBackendBatchMatchesSerial(t *testing.T) {
-	mk := func() *Backend {
-		sim := nma.NewSim(nma.DefaultConfig(dram.Device32Gb))
-		b, err := NewBackend(compress.NewLZFast(), 1<<30,
-			NewDriver(sim), memctrl.SkylakeMapping(4, 2, dram.Device32Gb))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	serial, batched := mk(), mk()
+// xfmAccounting is every counter the XFM swap paths touch: store
+// stats, side-band ECC, driver MMIO traffic, lazy SPM syncs and the
+// NMA simulator's own stats.
+type xfmAccounting struct {
+	Stats    sfm.BackendStats
+	ECC      [3]int64 // parity bytes, corrected, uncorrectable words
+	MMIO     [3]int64 // reads, writes, ioctls
+	SPMSyncs int64
+	NMA      nma.Stats
+}
 
+func accountingOf(b *Backend) xfmAccounting {
+	var a xfmAccounting
+	a.Stats = b.Stats()
+	a.ECC[0], a.ECC[1], a.ECC[2] = b.ECCStats()
+	a.MMIO[0], a.MMIO[1], a.MMIO[2] = b.Driver().MMIOStats()
+	a.SPMSyncs = b.SPMSyncs()
+	a.NMA = b.Driver().Sim().Stats()
+	return a
+}
+
+// TestBackendBatchMatchesSerial is the oracle for the per-page steps
+// the single-page and batch paths share: two identically configured
+// XFM backends — one driven a page at a time, one batched — must agree
+// on every counter and on the restored bytes, over an unsharded and a
+// sharded inner store, with side-band ECC on and off.
+func TestBackendBatchMatchesSerial(t *testing.T) {
+	for _, offload := range []bool{false, true} {
+		t.Run(fmt.Sprintf("offload=%v", offload), func(t *testing.T) {
+			for _, sharded := range []bool{false, true} {
+				for _, eccOn := range []bool{true, false} {
+					t.Run(fmt.Sprintf("sharded=%v/ecc=%v", sharded, eccOn), func(t *testing.T) {
+						batchMatchesSerial(t, sharded, eccOn, offload)
+					})
+				}
+			}
+		})
+	}
+}
+
+func newOracleBackend(t *testing.T, sharded, eccOn bool) *Backend {
+	t.Helper()
+	driver := NewDriver(nma.NewSim(nma.DefaultConfig(dram.Device32Gb)))
+	m := memctrl.SkylakeMapping(4, 2, dram.Device32Gb)
+	var b *Backend
+	var err error
+	if sharded {
+		b, err = NewShardedBackend(compress.NewLZFast(), 1<<30, 8, 4, driver, m)
+	} else {
+		b, err = NewBackend(compress.NewLZFast(), 1<<30, driver, m)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(b.Close)
+	b.SetECC(eccOn)
+	return b
+}
+
+func batchMatchesSerial(t *testing.T, sharded, eccOn, offload bool) {
+	serial, batched := newOracleBackend(t, sharded, eccOn), newOracleBackend(t, sharded, eccOn)
 	ids := batchIDs(48)
 	outs := make([]sfm.PageOut, len(ids))
 	for i, id := range ids {
@@ -63,48 +109,79 @@ func TestBackendBatchMatchesSerial(t *testing.T) {
 	if err := sfm.FirstError(batched.SwapOutBatch(now, outs)); err != nil {
 		t.Fatal(err)
 	}
-	if s, b := serial.Stats(), batched.Stats(); s != b {
-		t.Fatalf("post-swap-out stats diverge:\nserial  %+v\nbatched %+v", s, b)
+	if s, b := accountingOf(serial), accountingOf(batched); s != b {
+		t.Fatalf("post-swap-out accounting diverges:\nserial  %+v\nbatched %+v", s, b)
 	}
 
-	for _, offload := range []bool{false, true} {
-		t.Run(fmt.Sprintf("offload=%v", offload), func(t *testing.T) {
-			serial, batched := mk(), mk()
-			if err := sfm.FirstError(serial.SwapOutBatch(now, outs)); err != nil {
-				t.Fatal(err)
-			}
-			if err := sfm.FirstError(batched.SwapOutBatch(now, outs)); err != nil {
-				t.Fatal(err)
-			}
-			later := now + 10*dram.Microsecond
-			sIns := make([]sfm.PageIn, len(ids))
-			bIns := make([]sfm.PageIn, len(ids))
-			for i, id := range ids {
-				sIns[i] = sfm.PageIn{ID: id, Dst: make([]byte, sfm.PageSize)}
-				bIns[i] = sfm.PageIn{ID: id, Dst: make([]byte, sfm.PageSize)}
-			}
-			for _, p := range sIns {
-				if err := serial.SwapIn(later, p.ID, p.Dst, offload); err != nil {
+	later := now + 10*dram.Microsecond
+	sIns := make([]sfm.PageIn, len(ids))
+	bIns := make([]sfm.PageIn, len(ids))
+	for i, id := range ids {
+		sIns[i] = sfm.PageIn{ID: id, Dst: make([]byte, sfm.PageSize)}
+		bIns[i] = sfm.PageIn{ID: id, Dst: make([]byte, sfm.PageSize)}
+	}
+	for _, p := range sIns {
+		if err := serial.SwapIn(later, p.ID, p.Dst, offload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sfm.FirstError(batched.SwapInBatch(later, bIns, offload)); err != nil {
+		t.Fatal(err)
+	}
+	for i := range ids {
+		if !bytes.Equal(sIns[i].Dst, outs[i].Data) || !bytes.Equal(bIns[i].Dst, outs[i].Data) {
+			t.Fatalf("page %d corrupted", ids[i])
+		}
+	}
+	if s, b := accountingOf(serial), accountingOf(batched); s != b {
+		t.Fatalf("post-swap-in accounting diverges:\nserial  %+v\nbatched %+v", s, b)
+	}
+}
+
+// TestSinglePageAllocs pins the allocations of a warm single-page
+// SwapOut+SwapIn round trip — the path the §7 emulator drives — so the
+// per-page steps shared with the batch paths cannot add any. The
+// ceilings are the counts before those steps were shared.
+func TestSinglePageAllocs(t *testing.T) {
+	if testing.CoverMode() != "" {
+		t.Skip("coverage instrumentation allocates")
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation defeats sync.Pool caching")
+	}
+	for _, tc := range []struct {
+		ecc, offload bool
+		ceiling      float64
+	}{
+		{false, false, 1},
+		{false, true, 2},
+		{true, false, 2},
+		{true, true, 3},
+	} {
+		t.Run(fmt.Sprintf("ecc=%v/offload=%v", tc.ecc, tc.offload), func(t *testing.T) {
+			b := newTestBackend(t)
+			b.SetECC(tc.ecc)
+			const id = sfm.PageID(7)
+			page := compressiblePage(id)
+			dst := make([]byte, sfm.PageSize)
+			now := 50 * dram.Microsecond
+			round := func() {
+				if err := b.SwapOut(now, id, page); err != nil {
 					t.Fatal(err)
 				}
-			}
-			if err := sfm.FirstError(batched.SwapInBatch(later, bIns, offload)); err != nil {
-				t.Fatal(err)
-			}
-			for i := range ids {
-				if !bytes.Equal(sIns[i].Dst, outs[i].Data) || !bytes.Equal(bIns[i].Dst, outs[i].Data) {
-					t.Fatalf("page %d corrupted", ids[i])
+				if err := b.SwapIn(now, id, dst, tc.offload); err != nil {
+					t.Fatal(err)
 				}
+				now += 10 * dram.Microsecond
 			}
-			if s, b := serial.Stats(), batched.Stats(); s != b {
-				t.Fatalf("post-swap-in stats diverge:\nserial  %+v\nbatched %+v", s, b)
+			for i := 0; i < 8; i++ {
+				round()
 			}
-			sp, sc, su := serial.ECCStats()
-			bp, bc, bu := batched.ECCStats()
-			if sp != bp || sc != bc || su != bu {
-				t.Fatalf("ECC stats diverge: serial (%d,%d,%d) batched (%d,%d,%d)",
-					sp, sc, su, bp, bc, bu)
+			allocs := testing.AllocsPerRun(100, round)
+			if allocs > tc.ceiling {
+				t.Fatalf("%.1f allocs per round trip, ceiling %.0f", allocs, tc.ceiling)
 			}
+			t.Logf("%.1f allocs per round trip (ceiling %.0f)", allocs, tc.ceiling)
 		})
 	}
 }
@@ -161,7 +238,6 @@ func TestGroupBatchMatchesSerial(t *testing.T) {
 		return g
 	}
 	serial, batched := mk(), mk()
-	batched.SetWorkers(4)
 
 	ids := batchIDs(32)
 	outs := make([]sfm.PageOut, len(ids))

@@ -37,7 +37,6 @@ type GroupBackend struct {
 	offloads  int64
 	fallbacks int64
 	cpuCycles float64
-	workers   int            // batch parallelism bound (0 = GOMAXPROCS)
 	pool      *parallel.Pool // persistent batch fan-out workers
 
 	stats groupStats
@@ -46,10 +45,6 @@ type GroupBackend struct {
 // Close releases the backend's worker pool goroutines. Optional: idle
 // workers only park on a channel.
 func (g *GroupBackend) Close() { g.pool.Close() }
-
-// SetWorkers bounds the goroutines SwapOutBatch/SwapInBatch use for
-// (de)compression (0, the default, means GOMAXPROCS).
-func (g *GroupBackend) SetWorkers(n int) { g.workers = n }
 
 type groupStats struct {
 	swapOuts, swapIns int64
@@ -94,28 +89,29 @@ func NewGroupBackend(newCodec func(window int) compress.Codec, perDIMMRegion int
 // DIMMs returns the number of memory modules in the group.
 func (g *GroupBackend) DIMMs() int { return g.layout.DIMMs }
 
-// pageGroupOf maps an address to its refresh group (as Backend does).
-func (g *GroupBackend) pageGroupOf(addr int64) int {
-	addr %= g.mapp.TotalBytes()
-	if addr < 0 {
-		addr += g.mapp.TotalBytes()
-	}
-	co := g.mapp.Decompose(addr)
-	return g.mapp.Device.RowRefreshGroup(co.Row)
-}
-
 // SwapOut implements sfm.Backend: the page is split at the channel
 // interleave granularity; each DIMM's share is compressed with the
 // reduced window and placed at the same offset on every DIMM.
 func (g *GroupBackend) SwapOut(now dram.Ps, id sfm.PageID, data []byte) error {
+	cl, err := g.compressPage(id, data)
+	if err != nil {
+		return err
+	}
+	return g.placeCompressed(now, id, cl)
+}
+
+// compressPage validates a page and splits and compresses it per
+// DIMM — the pure half of SwapOut, which SwapOutBatch runs on the
+// pool. It only reads the slot map; a page already stored is rejected
+// before any compression work.
+func (g *GroupBackend) compressPage(id sfm.PageID, data []byte) (CompressedLayout, error) {
 	if len(data) != sfm.PageSize {
-		return fmt.Errorf("xfm: page %d has %d bytes, want %d", id, len(data), sfm.PageSize) //xfm:ignore hotpath-alloc cold validation path: wrong page size is a caller bug, never taken steady-state
+		return CompressedLayout{}, fmt.Errorf("xfm: page %d has %d bytes, want %d", id, len(data), sfm.PageSize) //xfm:ignore hotpath-alloc cold validation path: wrong page size is a caller bug, never taken steady-state
 	}
 	if _, dup := g.slots[id]; dup {
-		return sfm.ErrExists
+		return CompressedLayout{}, sfm.ErrExists
 	}
-	cl := g.layout.CompressPage(data, g.newCodec)
-	return g.placeCompressed(now, id, cl)
+	return g.layout.CompressPage(data, g.newCodec), nil
 }
 
 // placeCompressed stores an already-compressed page and submits the
@@ -134,59 +130,44 @@ func (g *GroupBackend) placeCompressed(now dram.Ps, id sfm.PageID, cl Compressed
 	g.stats.storedPages++
 	g.stats.storedBytes += int64(cl.TotalStored())
 	g.stats.fragBytes += int64(cl.FragmentationBytes())
-
-	// One offload request per DIMM: each NMA reads its own chunks of
-	// the cold page during its refresh windows.
-	srcGroup := g.pageGroupOf(int64(id) * sfm.PageSize)
-	dstGroup := g.pageGroupOf(g.perDIMMRegion + (int64(id)*sfm.PageSize)%g.perDIMMRegion)
-	allOK := true
-	for _, d := range g.drivers {
-		d.AdvanceTo(now)
-		g.nextReq++
-		ok, err := d.Submit(nma.Request{
-			ID: g.nextReq, Kind: nma.CompressOp,
-			SrcGroup: srcGroup, DstGroup: dstGroup, Arrive: now,
-		})
-		if err != nil || !ok {
-			allOK = false
-		}
-	}
-	if allOK {
-		g.offloads++
-	} else {
-		// CPU_Fallback compresses the whole page on the host with the
-		// scatter-aware function (Fig. 9b).
-		g.fallbacks++
-		g.cpuCycles += g.codec.Info().CompressCyclesPerByte * sfm.PageSize
-	}
+	g.submitAll(now, id, nma.CompressOp)
 	return nil
 }
 
 // SwapIn implements sfm.Backend: parts are fetched from every DIMM,
-// decompressed, and gathered back into host-logical order. The
-// specialized CPU fallback "handles both decompression and gathering
-// operations without additional memory copies" (§6).
+// decompressed, and gathered back into host-logical order.
 func (g *GroupBackend) SwapIn(now dram.Ps, id sfm.PageID, dst []byte, offload bool) error {
-	if len(dst) != sfm.PageSize {
-		return fmt.Errorf("xfm: dst has %d bytes, want %d", len(dst), sfm.PageSize) //xfm:ignore hotpath-alloc cold validation path: wrong buffer size is a caller bug, never taken steady-state
-	}
-	cl, ok := g.slots[id]
-	if !ok {
-		return sfm.ErrNotFound
-	}
-	// Decompress and gather straight into dst (the specialized CPU
-	// fallback "handles both decompression and gathering operations
-	// without additional memory copies", §6).
-	if _, err := g.layout.DecompressPageInto(dst[:0], cl, g.newCodec, sfm.PageSize); err != nil {
+	cl, err := g.decompressPage(id, dst)
+	if err != nil {
 		return err
 	}
 	g.finishSwapIn(now, id, cl, offload)
 	return nil
 }
 
+// decompressPage validates dst, looks up the page's slot and
+// decompresses and gathers it straight into dst — the specialized CPU
+// fallback "handles both decompression and gathering operations
+// without additional memory copies" (§6). It is the pure half of
+// SwapIn, which SwapInBatch runs on the pool; it only reads the slot
+// map.
+func (g *GroupBackend) decompressPage(id sfm.PageID, dst []byte) (CompressedLayout, error) {
+	if len(dst) != sfm.PageSize {
+		return CompressedLayout{}, fmt.Errorf("xfm: dst has %d bytes, want %d", len(dst), sfm.PageSize) //xfm:ignore hotpath-alloc cold validation path: wrong buffer size is a caller bug, never taken steady-state
+	}
+	cl, ok := g.slots[id]
+	if !ok {
+		return CompressedLayout{}, sfm.ErrNotFound
+	}
+	if _, err := g.layout.DecompressPageInto(dst[:0], cl, g.newCodec, sfm.PageSize); err != nil {
+		return CompressedLayout{}, err
+	}
+	return cl, nil
+}
+
 // finishSwapIn removes a decompressed page's slot and submits the
 // per-DIMM offload requests — the serial bookkeeping half of SwapIn,
-// shared with SwapInBatch.
+// shared with SwapInBatch. Demand faults fall back to the CPU (§6).
 func (g *GroupBackend) finishSwapIn(now dram.Ps, id sfm.PageID, cl CompressedLayout, offload bool) {
 	delete(g.slots, id)
 	g.reservedBytes -= int64(cl.SlotBytes)
@@ -194,24 +175,34 @@ func (g *GroupBackend) finishSwapIn(now dram.Ps, id sfm.PageID, cl CompressedLay
 	g.stats.storedPages--
 	g.stats.storedBytes -= int64(cl.TotalStored())
 	g.stats.fragBytes -= int64(cl.FragmentationBytes())
-
-	srcGroup := g.pageGroupOf(g.perDIMMRegion + (int64(id)*sfm.PageSize)%g.perDIMMRegion)
-	dstGroup := g.pageGroupOf(int64(id) * sfm.PageSize)
-	if !offload {
-		g.fallbacks++
-		g.cpuCycles += g.codec.Info().DecompressCyclesPerByte * sfm.PageSize
-		for _, d := range g.drivers {
-			d.AdvanceTo(now)
-		}
+	if offload {
+		g.submitAll(now, id, nma.DecompressOp)
 		return
+	}
+	g.recordFallback(nma.DecompressOp)
+	for _, d := range g.drivers {
+		d.AdvanceTo(now)
+	}
+}
+
+// submitAll sends one offload request per DIMM — each NMA handles only
+// the chunks it holds, during its own refresh windows — and charges a
+// whole-page CPU_Fallback unless every DIMM accepted (the fallback
+// runs the scatter-aware function, Fig. 9b). Decompression swaps the
+// source and destination groups of compression.
+func (g *GroupBackend) submitAll(now dram.Ps, id sfm.PageID, kind nma.OpKind) {
+	src := pageGroup(g.mapp, int64(id)*sfm.PageSize)
+	dst := pageGroup(g.mapp, g.perDIMMRegion+(int64(id)*sfm.PageSize)%g.perDIMMRegion)
+	if kind == nma.DecompressOp {
+		src, dst = dst, src
 	}
 	allOK := true
 	for _, d := range g.drivers {
 		d.AdvanceTo(now)
 		g.nextReq++
 		ok, err := d.Submit(nma.Request{
-			ID: g.nextReq, Kind: nma.DecompressOp,
-			SrcGroup: srcGroup, DstGroup: dstGroup, Arrive: now,
+			ID: g.nextReq, Kind: kind,
+			SrcGroup: src, DstGroup: dst, Arrive: now,
 		})
 		if err != nil || !ok {
 			allOK = false
@@ -220,9 +211,14 @@ func (g *GroupBackend) finishSwapIn(now dram.Ps, id sfm.PageID, cl CompressedLay
 	if allOK {
 		g.offloads++
 	} else {
-		g.fallbacks++
-		g.cpuCycles += g.codec.Info().DecompressCyclesPerByte * sfm.PageSize
+		g.recordFallback(kind)
 	}
+}
+
+// recordFallback charges one whole page (de)compressed on the host.
+func (g *GroupBackend) recordFallback(kind nma.OpKind) {
+	g.fallbacks++
+	g.cpuCycles += fallbackCycles(g.codec, kind)
 }
 
 // Contains implements sfm.Backend.
