@@ -44,22 +44,6 @@ type Config struct {
 	// corrupt-stream failures through the serial path, so both paths
 	// are exercised.
 	BatchPages int
-	// Policy overrides the breaker policy (nil uses GatePolicy).
-	Policy *xfm.DegradePolicy
-}
-
-// GatePolicy is the breaker policy the CI gate runs with: small enough
-// windows that the ci-default preset's budgeted stall outage trips the
-// breaker and the canaries close it again well within one run.
-func GatePolicy() xfm.DegradePolicy {
-	return xfm.DegradePolicy{
-		Window:          16,
-		TripFailures:    4,
-		DegradeFailures: 2,
-		ReprobeAfter:    8,
-		CanarySuccesses: 3,
-		RetryOnce:       true,
-	}
 }
 
 // Result summarizes one chaos run. All fields are deterministic for a
@@ -159,13 +143,8 @@ func Run(cfg Config) (*Result, error) {
 	}
 	defer b.Close()
 	b.SetInjector(inj)
-	pol := GatePolicy()
-	if cfg.Policy != nil {
-		pol = *cfg.Policy
-	}
-	b.EnableDegradation(pol)
+	b.EnableDegradation(xfm.DefaultDegradePolicy())
 
-	servedBefore := xfm.QuarantineServed()
 	res := &Result{}
 	trefi := sim.Config().Timings.TREFI
 	now := dram.Ps(0)
@@ -221,7 +200,7 @@ func Run(cfg Config) (*Result, error) {
 
 	res.Trips, res.Recoveries = b.BreakerStats()
 	res.Quarantined = b.QuarantinedPages()
-	res.Served = xfm.QuarantineServed() - servedBefore
+	res.Served = b.QuarantineServed()
 	for s := fault.Site(0); s < fault.NumSites; s++ {
 		res.Injected[s] = inj.Injected(s)
 	}

@@ -161,13 +161,8 @@ type op struct {
 	// the free list. References left behind in lazily-compacted FIFOs
 	// and buckets carry the gen at insertion time; a mismatch marks the
 	// reference stale even after the struct is reused for a new request.
-	gen       uint64
-	readAt    dram.Ps // when the page was read into the SPM
-	doneAt    dram.Ps // when the engine finishes
-	wroteAt   dram.Ps
-	spmBytes  int // SPM bytes charged while resident
-	readRand  bool
-	writeRand bool
+	gen    uint64
+	doneAt dram.Ps // when the engine finishes
 }
 
 // opRef is one container entry: the op plus the incarnation it had
@@ -467,23 +462,13 @@ func (s *Sim) Submit(req Request) bool {
 	return true
 }
 
-// spmFootprint returns the SPM bytes an operation occupies while
-// resident: a compress op stages the uncompressed page then shrinks
-// logically to its output; we charge the larger (input) size for the
-// whole residency, an upper bound consistent with the driver's lazy
-// tracking. A decompress op stages the compressed input and produces
-// a full page; we charge the output size.
-func (s *Sim) spmFootprint(k OpKind) int {
-	if k == CompressOp {
-		return s.cfg.PageBytes
-	}
-	return s.cfg.PageBytes // output buffer dominates
-}
-
-// spmHasRoom reports whether a read of the given kind fits in the SPM
-// right now.
-func (s *Sim) spmHasRoom(k OpKind) bool {
-	return s.spmUsed+s.spmFootprint(k) <= s.cfg.SPMBytes
+// spmHasRoom reports whether one more op fits in the SPM right now.
+// Every op is charged a full page for its whole residency: a compress
+// op stages the uncompressed page (an upper bound on its shrinking
+// output, consistent with the driver's lazy tracking), and a
+// decompress op's output buffer is a full page.
+func (s *Sim) spmHasRoom() bool {
+	return s.spmUsed+s.cfg.PageBytes <= s.cfg.SPMBytes
 }
 
 // StepWindow advances the simulation by one refresh window, performing
@@ -543,7 +528,7 @@ func (s *Sim) StepWindow() int {
 	// being refreshed now are read into the SPM, space permitting.
 	for cond > 0 {
 		o := s.peekQueuedGroup(group)
-		if o == nil || !s.spmHasRoom(o.req.Kind) {
+		if o == nil || !s.spmHasRoom() {
 			break
 		}
 		s.popQueuedGroup(group)
@@ -576,7 +561,7 @@ func (s *Sim) StepWindow() int {
 				victim = o
 			}
 		}
-		if victim != nil && victim.state == opQueued && !s.spmHasRoom(victim.req.Kind) {
+		if victim != nil && victim.state == opQueued && !s.spmHasRoom() {
 			// A blocked read cannot proceed; try draining instead.
 			victim = s.oldestCompleted()
 		}
@@ -811,10 +796,7 @@ func (s *Sim) oldestCompleted() *op {
 // startRead moves a queued op into the SPM and starts its engine run.
 func (s *Sim) startRead(o *op, now dram.Ps, random bool) {
 	o.state = opPending
-	o.readAt = now
-	o.readRand = random
-	o.spmBytes = s.spmFootprint(o.req.Kind)
-	s.spmUsed += o.spmBytes
+	s.spmUsed += s.cfg.PageBytes
 	s.queuedCount--
 	gbps := s.cfg.CompressGBps
 	if o.req.Kind == DecompressOp {
@@ -841,8 +823,7 @@ func (s *Sim) startRead(o *op, now dram.Ps, random bool) {
 // readers (span emission) still see its request fields.
 func (s *Sim) writeBack(o *op, now dram.Ps, random bool) {
 	o.state = opDone
-	o.wroteAt = now
-	s.spmUsed -= o.spmBytes
+	s.spmUsed -= s.cfg.PageBytes
 	s.completedCount--
 	s.countAccess(random)
 	if random {
@@ -850,7 +831,6 @@ func (s *Sim) writeBack(o *op, now dram.Ps, random bool) {
 	} else {
 		s.stats.WriteCond++
 	}
-	o.writeRand = random
 	s.stats.Completed++
 	mCompleted.Inc()
 	lat := now + s.cfg.Timings.TRFC - o.req.Arrive

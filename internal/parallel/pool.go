@@ -5,8 +5,7 @@ import (
 	"sync/atomic"
 )
 
-// Pool is a persistent worker pool for the batched swap pipeline. A
-// ForEach call pays a goroutine spin-up (and join) per batch; a Pool
+// Pool is a persistent worker pool for the batched swap pipeline. It
 // spawns its workers once, parks them between batches, and reuses one
 // job descriptor, so a steady-state batch performs no allocations in
 // the pool itself.
@@ -24,12 +23,13 @@ import (
 type Pool struct {
 	width int
 
-	mu    sync.Mutex // serializes Run; job below is valid only inside one Run
-	spawn sync.Once
-	wake  chan struct{}
-	stop  chan struct{}
-	wg    sync.WaitGroup
-	job   poolJob
+	mu      sync.Mutex // serializes Run; job below is valid only inside one Run
+	spawn   sync.Once
+	wake    chan struct{}
+	stop    chan struct{}
+	wg      sync.WaitGroup // one batch's woken workers
+	spawned sync.WaitGroup // every worker goroutine, joined by Close
+	job     poolJob
 }
 
 // poolJob is the reusable batch descriptor shared with the workers.
@@ -60,11 +60,16 @@ func NewPool(workers int) *Pool {
 // parallelism and the size callers should give per-worker state).
 func (p *Pool) Width() int { return p.width }
 
-// Close releases the pool's goroutines. Close is optional — idle
-// workers are parked on a channel and cost only their stacks — and
-// safe to call at most once; Run after Close degrades to the inline
-// serial path.
-func (p *Pool) Close() { close(p.stop) }
+// Close stops the pool's goroutines and waits for them to exit, so a
+// closed pool leaves none behind; a pool that never fanned out returns
+// at once. Close is optional — idle workers are parked on a channel
+// and cost only their stacks — must not overlap a Run, and may be
+// called at most once; Run after Close degrades to the inline serial
+// path.
+func (p *Pool) Close() {
+	close(p.stop)
+	p.spawned.Wait()
+}
 
 func (p *Pool) closed() bool {
 	select {
@@ -127,6 +132,7 @@ func (p *Pool) Run(n, limit int, fn func(worker, i int)) {
 
 // spawnWorkers starts the parked worker goroutines (ids 1..width-1).
 func (p *Pool) spawnWorkers() {
+	p.spawned.Add(p.width - 1)
 	for id := 1; id < p.width; id++ {
 		go p.work(id)
 	}
@@ -136,6 +142,7 @@ func (p *Pool) spawnWorkers() {
 // parks again. Each wake signal corresponds to exactly one wg slot, so
 // it does not matter which parked worker picks a signal up.
 func (p *Pool) work(id int) {
+	defer p.spawned.Done()
 	for {
 		select {
 		case <-p.wake:
@@ -148,8 +155,8 @@ func (p *Pool) work(id int) {
 }
 
 // runBody claims index chunks off the shared counter until the batch
-// is exhausted — the same claiming discipline as ForEach, so fast
-// workers steal from slow ones near the tail.
+// is exhausted, so fast workers steal from slow ones near the tail.
+// It is the package's only claiming loop.
 //
 //xfm:hotpath
 func (p *Pool) runBody(id int) {

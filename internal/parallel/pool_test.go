@@ -165,3 +165,34 @@ func TestChunkFor(t *testing.T) {
 		}
 	}
 }
+
+func TestPoolCloseJoinsWorkers(t *testing.T) {
+	// Close must not return while a worker goroutine is still alive:
+	// sfm.ShardedBackend.Close, xfm.Backend.Close and every ForEach
+	// rely on it to leave nothing running. The count is read right
+	// after the join, with no yield in between, so workers that were
+	// only signalled to stop still count. One P makes that read exact:
+	// a worker that has signalled the join runs on through its exit
+	// before the joiner is scheduled again, whereas with more Ps the
+	// joiner may see the join a few microseconds before the runtime
+	// has torn the last goroutine down. Goroutines left by earlier
+	// tests may exit meanwhile, so only a rise counts.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, tc := range []struct {
+		name   string
+		fanOut func()
+	}{
+		{"Pool", func() {
+			p := NewPool(4)
+			p.Run(256, 0, func(_, _ int) {})
+			p.Close()
+		}},
+		{"ForEach", func() { ForEach(256, 4, func(int) {}) }},
+	} {
+		start := runtime.NumGoroutine()
+		tc.fanOut()
+		if got := runtime.NumGoroutine(); got > start {
+			t.Fatalf("%s: %d goroutines after the join, %d before: workers not joined", tc.name, got, start)
+		}
+	}
+}

@@ -426,9 +426,3 @@ func (b *CPUBackend) Stats() BackendStats {
 	s.Region = b.alloc.Stats()
 	return s
 }
-
-// StoredPageIDs returns the ids currently in far memory in ascending
-// order (compaction and inspection helper).
-func (b *CPUBackend) StoredPageIDs() []PageID {
-	return b.index.Keys()
-}

@@ -56,7 +56,6 @@ type Backend struct {
 	// when writing data back so the host memory controller can keep
 	// performing SECDED on later reads. The backend keeps the parity
 	// of every stored page and verifies it on swap-in.
-	eccEnabled       bool
 	parity           map[sfm.PageID][]byte
 	parityBytes      telemetry.Counter
 	eccCorrected     telemetry.Counter
@@ -67,13 +66,15 @@ type Backend struct {
 	// inj schedules deterministic ECC bit flips on swap-in images; deg
 	// is the circuit breaker (degrade.go); staging holds raw page
 	// copies that back quarantine re-serves; quarantined lists pages
-	// whose verification found uncorrectable words (bad-word count).
-	// Like parity, staging and quarantined are touched only on the
-	// serial phases of the swap paths.
+	// whose verification found uncorrectable words (bad-word count);
+	// served counts this backend's re-serves from staging. Like parity,
+	// staging and quarantined are touched only on the serial phases of
+	// the swap paths.
 	inj         *fault.Injector
 	deg         *degrader
 	staging     map[sfm.PageID][]byte
 	quarantined map[sfm.PageID]int
+	served      telemetry.Counter
 }
 
 // NewBackend builds an XFM backend. regionBytes limits the SFM region;
@@ -111,7 +112,6 @@ func newBackend(codec compress.Codec, inner sfm.Backend, regionBytes int64,
 		driver:      driver,
 		mapp:        m,
 		codec:       codec,
-		eccEnabled:  true,
 		parity:      map[sfm.PageID][]byte{},
 		quarantined: map[sfm.PageID]int{},
 		pool:        parallel.NewPool(0),
@@ -134,10 +134,6 @@ func (b *Backend) Close() {
 		c.Close()
 	}
 }
-
-// SetECC enables or disables side-band parity regeneration; it is on
-// by default (commodity servers run ECC DIMMs, §4.1).
-func (b *Backend) SetECC(on bool) { b.eccEnabled = on }
 
 // Driver returns the backend's driver.
 func (b *Backend) Driver() *Driver { return b.driver }
@@ -180,11 +176,7 @@ func (b *Backend) SwapOut(now dram.Ps, id sfm.PageID, data []byte) error {
 	if err := b.inner.SwapOut(now, id, data); err != nil {
 		return err
 	}
-	var par []byte
-	if b.eccEnabled {
-		par = ecc.PageParity(data)
-	}
-	b.finishOut(now, id, data, par)
+	b.finishOut(now, id, data, ecc.PageParity(data))
 	return nil
 }
 
@@ -206,15 +198,13 @@ func (b *Backend) SwapIn(now dram.Ps, id sfm.PageID, dst []byte, offload bool) e
 // finishOut is the serial tail of a swap-out of a page the inner store
 // has accepted: keep its side-band parity (§4.1: "the NMA calculates
 // the parity bits and stores them in the ECC DRAM chips, when writing
-// back"; nil when ECC is off), stage a raw copy when degradation is
-// armed, then submit the compression.
+// back"), stage a raw copy when degradation is armed, then submit the
+// compression.
 //
 //xfm:hotpath
 func (b *Backend) finishOut(now dram.Ps, id sfm.PageID, data, par []byte) {
-	if par != nil {
-		b.parity[id] = par
-		b.parityBytes.Add(int64(len(par)))
-	}
+	b.parity[id] = par
+	b.parityBytes.Add(int64(len(par)))
 	if b.deg != nil {
 		b.stageCopy(id, data)
 	}
@@ -223,7 +213,7 @@ func (b *Backend) finishOut(now dram.Ps, id sfm.PageID, data, par []byte) {
 }
 
 // eccCheck is one page's side-band parity verification result;
-// checked is false when ECC is off or the page has no stored parity.
+// checked is false when the page has no stored parity.
 type eccCheck struct {
 	corrected, bad int
 	checked        bool
@@ -235,7 +225,7 @@ type eccCheck struct {
 // in input order, never on the pool. Multi-bit takes precedence over
 // single-bit when both fire.
 func (b *Backend) injectIfChecked(id sfm.PageID, dst []byte) {
-	if b.inj == nil || !b.eccEnabled {
+	if b.inj == nil {
 		return
 	}
 	if _, ok := b.parity[id]; !ok {
@@ -262,9 +252,6 @@ func (b *Backend) injectIfChecked(id sfm.PageID, dst []byte) {
 // verify checks a swapped-in image against its stored parity. It only
 // reads backend state, so batches fan it out on the pool.
 func (b *Backend) verify(id sfm.PageID, dst []byte) eccCheck {
-	if !b.eccEnabled {
-		return eccCheck{}
-	}
 	p, ok := b.parity[id]
 	if !ok {
 		return eccCheck{}
@@ -360,6 +347,7 @@ func (b *Backend) quarantinePage(id sfm.PageID, bad int, dst []byte) error {
 	b.quarantined[id] = bad
 	if c, ok := b.staging[id]; ok && len(c) == len(dst) {
 		copy(dst, c)
+		b.served.Inc()
 		gmQuarantineServed.Inc()
 		return nil
 	}
@@ -369,9 +357,10 @@ func (b *Backend) quarantinePage(id sfm.PageID, bad int, dst []byte) error {
 // QuarantinedPages returns how many pages are on the quarantine list.
 func (b *Backend) QuarantinedPages() int { return len(b.quarantined) }
 
-// QuarantineServed returns how many quarantined swap-ins were re-served
-// from staging copies, process-wide.
-func QuarantineServed() int64 { return gmQuarantineServed.Value() }
+// QuarantineServed returns how many of this backend's quarantined
+// swap-ins were re-served from staging copies; the process-wide total
+// is the xfm_quarantine_served_total metric.
+func (b *Backend) QuarantineServed() int64 { return b.served.Value() }
 
 // recordECC accumulates one page's verification result.
 func (b *Backend) recordECC(corrected, bad int) {
@@ -430,15 +419,13 @@ func (b *Backend) submitOrFallback(req nma.Request) {
 	ok, err := b.submitOnce(req)
 	if err == ErrOpTimeout {
 		gmOpTimeouts.Inc()
-		if d.policy.RetryOnce {
-			// Per-op deadline policy: retry once (a fresh submission
-			// sequence number, so injection draws fresh), then fall
-			// back to the CPU.
-			gmOpRetries.Inc()
-			ok, err = b.submitOnce(req)
-			if err == ErrOpTimeout {
-				gmOpTimeouts.Inc()
-			}
+		// Per-op deadline policy: retry once (a fresh submission
+		// sequence number, so injection draws fresh), then fall back
+		// to the CPU.
+		gmOpRetries.Inc()
+		ok, err = b.submitOnce(req)
+		if err == ErrOpTimeout {
+			gmOpTimeouts.Inc()
 		}
 	}
 	// Only op-deadline failures feed the breaker window: a queue

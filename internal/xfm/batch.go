@@ -23,25 +23,17 @@ import (
 func (b *Backend) SwapOutBatch(now dram.Ps, pages []sfm.PageOut) []error {
 	hBatchPages.Observe(float64(len(pages)))
 	errs := b.inner.SwapOutBatch(now, pages)
-	var pars [][]byte
-	if b.eccEnabled {
-		pars = make([][]byte, len(pages))
-		b.pool.Run(len(pages), b.workers, func(_, i int) {
-			if errs[i] == nil {
-				pars[i] = ecc.PageParity(pages[i].Data)
-			}
-		})
-	}
+	pars := make([][]byte, len(pages))
+	b.pool.Run(len(pages), b.workers, func(_, i int) {
+		if errs[i] == nil {
+			pars[i] = ecc.PageParity(pages[i].Data)
+		}
+	})
 	b.driver.AdvanceTo(now)
 	for i, p := range pages {
-		if errs[i] != nil {
-			continue
+		if errs[i] == nil {
+			b.finishOut(now, p.ID, p.Data, pars[i])
 		}
-		var par []byte
-		if pars != nil {
-			par = pars[i]
-		}
-		b.finishOut(now, p.ID, p.Data, par)
 	}
 	return errs
 }
@@ -52,30 +44,22 @@ func (b *Backend) SwapOutBatch(now dram.Ps, pages []sfm.PageOut) []error {
 func (b *Backend) SwapInBatch(now dram.Ps, pages []sfm.PageIn, offload bool) []error {
 	hBatchPages.Observe(float64(len(pages)))
 	errs := b.inner.SwapInBatch(now, pages, offload)
-	var checks []eccCheck
-	if b.eccEnabled {
-		for i, p := range pages {
-			if errs[i] == nil {
-				b.injectIfChecked(p.ID, p.Dst)
-			}
+	for i, p := range pages {
+		if errs[i] == nil {
+			b.injectIfChecked(p.ID, p.Dst)
 		}
-		checks = make([]eccCheck, len(pages))
-		b.pool.Run(len(pages), b.workers, func(_, i int) {
-			if errs[i] == nil {
-				checks[i] = b.verify(pages[i].ID, pages[i].Dst)
-			}
-		})
 	}
+	checks := make([]eccCheck, len(pages))
+	b.pool.Run(len(pages), b.workers, func(_, i int) {
+		if errs[i] == nil {
+			checks[i] = b.verify(pages[i].ID, pages[i].Dst)
+		}
+	})
 	b.driver.AdvanceTo(now)
 	for i, p := range pages {
-		if errs[i] != nil {
-			continue
+		if errs[i] == nil {
+			errs[i] = b.finishIn(now, p.ID, p.Dst, offload, checks[i])
 		}
-		var c eccCheck
-		if checks != nil {
-			c = checks[i]
-		}
-		errs[i] = b.finishIn(now, p.ID, p.Dst, offload, c)
 	}
 	return errs
 }

@@ -59,22 +59,21 @@ func accountingOf(b *Backend) xfmAccounting {
 // the single-page and batch paths share: two identically configured
 // XFM backends — one driven a page at a time, one batched — must agree
 // on every counter and on the restored bytes, over an unsharded and a
-// sharded inner store, with side-band ECC on and off.
+// sharded inner store. Side-band ECC is always on; the subtest names
+// say so.
 func TestBackendBatchMatchesSerial(t *testing.T) {
 	for _, offload := range []bool{false, true} {
 		t.Run(fmt.Sprintf("offload=%v", offload), func(t *testing.T) {
 			for _, sharded := range []bool{false, true} {
-				for _, eccOn := range []bool{true, false} {
-					t.Run(fmt.Sprintf("sharded=%v/ecc=%v", sharded, eccOn), func(t *testing.T) {
-						batchMatchesSerial(t, sharded, eccOn, offload)
-					})
-				}
+				t.Run(fmt.Sprintf("sharded=%v/ecc=true", sharded), func(t *testing.T) {
+					batchMatchesSerial(t, sharded, offload)
+				})
 			}
 		})
 	}
 }
 
-func newOracleBackend(t *testing.T, sharded, eccOn bool) *Backend {
+func newOracleBackend(t *testing.T, sharded bool) *Backend {
 	t.Helper()
 	driver := NewDriver(nma.NewSim(nma.DefaultConfig(dram.Device32Gb)))
 	m := memctrl.SkylakeMapping(4, 2, dram.Device32Gb)
@@ -89,12 +88,11 @@ func newOracleBackend(t *testing.T, sharded, eccOn bool) *Backend {
 		t.Fatal(err)
 	}
 	t.Cleanup(b.Close)
-	b.SetECC(eccOn)
 	return b
 }
 
-func batchMatchesSerial(t *testing.T, sharded, eccOn, offload bool) {
-	serial, batched := newOracleBackend(t, sharded, eccOn), newOracleBackend(t, sharded, eccOn)
+func batchMatchesSerial(t *testing.T, sharded, offload bool) {
+	serial, batched := newOracleBackend(t, sharded), newOracleBackend(t, sharded)
 	ids := batchIDs(48)
 	outs := make([]sfm.PageOut, len(ids))
 	for i, id := range ids {
@@ -150,17 +148,14 @@ func TestSinglePageAllocs(t *testing.T) {
 		t.Skip("race instrumentation defeats sync.Pool caching")
 	}
 	for _, tc := range []struct {
-		ecc, offload bool
-		ceiling      float64
+		offload bool
+		ceiling float64
 	}{
-		{false, false, 1},
-		{false, true, 2},
-		{true, false, 2},
-		{true, true, 3},
+		{false, 2},
+		{true, 3},
 	} {
-		t.Run(fmt.Sprintf("ecc=%v/offload=%v", tc.ecc, tc.offload), func(t *testing.T) {
+		t.Run(fmt.Sprintf("ecc=true/offload=%v", tc.offload), func(t *testing.T) {
 			b := newTestBackend(t)
-			b.SetECC(tc.ecc)
 			const id = sfm.PageID(7)
 			page := compressiblePage(id)
 			dst := make([]byte, sfm.PageSize)

@@ -74,45 +74,20 @@ type DegradePolicy struct {
 	// CanarySuccesses is how many consecutive canary ops must succeed
 	// to close the breaker; one canary failure re-opens it.
 	CanarySuccesses int
-	// RetryOnce retries a submission once after an op-deadline timeout
-	// (ErrOpTimeout) before counting it as a failure.
-	RetryOnce bool
 }
 
-// DefaultDegradePolicy returns the policy the chaos gate runs with.
+// DefaultDegradePolicy returns the policy the chaos gate runs with:
+// windows small enough that the ci-default preset's budgeted stall
+// outage trips the breaker and the canaries close it again well
+// within one run. An op-deadline timeout (ErrOpTimeout) is always
+// retried once before it counts as a window failure.
 func DefaultDegradePolicy() DegradePolicy {
 	return DegradePolicy{
-		Window:          32,
-		TripFailures:    8,
-		DegradeFailures: 3,
-		ReprobeAfter:    32,
-		CanarySuccesses: 4,
-		RetryOnce:       true,
-	}
-}
-
-// normalize clamps a policy into its valid domain.
-func (p *DegradePolicy) normalize() {
-	if p.Window < 1 {
-		p.Window = 1
-	}
-	if p.TripFailures < 1 {
-		p.TripFailures = 1
-	}
-	if p.TripFailures > p.Window {
-		p.TripFailures = p.Window
-	}
-	if p.DegradeFailures < 1 {
-		p.DegradeFailures = 1
-	}
-	if p.DegradeFailures > p.TripFailures {
-		p.DegradeFailures = p.TripFailures
-	}
-	if p.ReprobeAfter < 1 {
-		p.ReprobeAfter = 1
-	}
-	if p.CanarySuccesses < 1 {
-		p.CanarySuccesses = 1
+		Window:          16,
+		TripFailures:    4,
+		DegradeFailures: 2,
+		ReprobeAfter:    8,
+		CanarySuccesses: 3,
 	}
 }
 
@@ -173,7 +148,6 @@ func (d *degrader) resetWindow() {
 // configuration: an un-armed backend behaves exactly like §6's
 // stateless per-op fallback (and allocates nothing extra).
 func (b *Backend) EnableDegradation(p DegradePolicy) {
-	p.normalize()
 	b.deg = &degrader{
 		policy:   p,
 		outcomes: make([]bool, p.Window),

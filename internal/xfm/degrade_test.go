@@ -32,7 +32,7 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 	b, _ := chaosBackend(t, "nma-stall=1:40", 1)
 	pol := DegradePolicy{
 		Window: 8, TripFailures: 4, DegradeFailures: 2,
-		ReprobeAfter: 8, CanarySuccesses: 3, RetryOnce: true,
+		ReprobeAfter: 8, CanarySuccesses: 3,
 	}
 	b.EnableDegradation(pol)
 	if b.Mode() != ModeHealthy {
@@ -74,7 +74,7 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 }
 
 func TestRetryOnceAbsorbsIsolatedTimeouts(t *testing.T) {
-	// Probability low enough that stalls are isolated: with RetryOnce
+	// Probability low enough that stalls are isolated: with retry-once
 	// the retry draw (a fresh submit sequence number) almost always
 	// passes, so no failures reach the window and the breaker stays
 	// closed.
@@ -126,7 +126,6 @@ func TestQuarantineReservesFromStaging(t *testing.T) {
 	// the swap-in lossless and the page lands in quarantine.
 	b, _ := chaosBackend(t, "ecc-multi=1", 3)
 	b.EnableDegradation(DefaultDegradePolicy())
-	servedBefore := QuarantineServed()
 	orig := page('Q')
 	orig[17] = 0xAB
 	if err := b.SwapOut(0, 11, orig); err != nil {
@@ -142,8 +141,38 @@ func TestQuarantineReservesFromStaging(t *testing.T) {
 	if b.QuarantinedPages() != 1 {
 		t.Fatalf("QuarantinedPages = %d, want 1", b.QuarantinedPages())
 	}
-	if QuarantineServed() != servedBefore+1 {
-		t.Fatal("quarantine serve not counted")
+	if got := b.QuarantineServed(); got != 1 {
+		t.Fatalf("QuarantineServed = %d, want 1", got)
+	}
+}
+
+func TestQuarantineServedPerBackend(t *testing.T) {
+	// Two armed backends in one process, only one of which re-serves:
+	// each counts its own re-serves, and the process-wide metric sees
+	// the sum.
+	flipped, _ := chaosBackend(t, "ecc-multi=1", 3)
+	clean := newTestBackend(t)
+	flipped.EnableDegradation(DefaultDegradePolicy())
+	clean.EnableDegradation(DefaultDegradePolicy())
+	globalBefore := gmQuarantineServed.Value()
+	dst := make([]byte, sfm.PageSize)
+	for i, b := range []*Backend{flipped, clean, clean} {
+		id := sfm.PageID(30 + i)
+		if err := b.SwapOut(0, id, page(byte('a'+i))); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.SwapIn(dram.Millisecond, id, dst, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := flipped.QuarantineServed(); got != 1 {
+		t.Fatalf("re-serving backend: QuarantineServed = %d, want 1", got)
+	}
+	if got := clean.QuarantineServed(); got != 0 {
+		t.Fatalf("clean backend: QuarantineServed = %d, want 0", got)
+	}
+	if got := gmQuarantineServed.Value() - globalBefore; got != 1 {
+		t.Fatalf("xfm_quarantine_served_total rose by %d, want 1", got)
 	}
 }
 

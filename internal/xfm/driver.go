@@ -104,12 +104,6 @@ func (d *Driver) SPCapacity() int {
 	return d.sim.Config().SPMBytes - d.sim.SPMUsed()
 }
 
-// QueueFree reads the free depth of the Compress_Request_Queue.
-func (d *Driver) QueueFree() int {
-	d.mmioRead()
-	return d.sim.Config().QueueDepth - d.sim.QueueLen()
-}
-
 // PollCompletions reads the completion counter register: the total
 // number of offloads the NMA has finished. The backend uses the delta
 // against its own submission count to maintain its lazy upper bound on

@@ -69,6 +69,36 @@ func TestDriverSPCapacityCountsMMIO(t *testing.T) {
 	}
 }
 
+func TestDriverSubmitCountsMMIO(t *testing.T) {
+	// The Driver is the one model of the §6 MMIO surface: a submission
+	// is one register write whether the queue accepts or rejects it,
+	// and a completion poll is one read.
+	cfg := nma.DefaultConfig(dram.Device32Gb)
+	cfg.QueueDepth = 2
+	d := NewDriver(nma.NewSim(cfg))
+	if err := d.Paramset(0, 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	var accepted []bool
+	for i := 0; i < 3; i++ {
+		ok, err := d.Submit(nma.Request{ID: int64(i + 1), Kind: nma.CompressOp, DstGroup: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		accepted = append(accepted, ok)
+	}
+	if !accepted[0] || !accepted[1] || accepted[2] {
+		t.Fatalf("accepted = %v, want the third submission rejected by a 2-deep queue", accepted)
+	}
+	if got := d.PollCompletions(); got != 0 {
+		t.Errorf("completions = %d before any window ran, want 0", got)
+	}
+	reads, writes, _ := d.MMIOStats()
+	if reads != 1 || writes != 2+3 {
+		t.Errorf("MMIO reads=%d writes=%d, want 1 and 5 (2 paramset + 3 submits)", reads, writes)
+	}
+}
+
 func TestBackendSwapOutInRoundTrip(t *testing.T) {
 	b := newTestBackend(t)
 	in := page('Q')
@@ -332,15 +362,6 @@ func TestECCParityPath(t *testing.T) {
 	}
 	if !bytes.Equal(dst, in) {
 		t.Fatal("content corrupted")
-	}
-}
-
-func TestECCDisabled(t *testing.T) {
-	b := newTestBackend(t)
-	b.SetECC(false)
-	b.SwapOut(0, 1, page('x'))
-	if pb, _, _ := b.ECCStats(); pb != 0 {
-		t.Errorf("parity generated while ECC disabled: %d bytes", pb)
 	}
 }
 
